@@ -156,6 +156,8 @@ class Control:
             sat_stats = translator.solver.stats()
             solve_span.set(
                 models=outcome.models_seen,
+                sat_calls=sat_stats["calls"],
+                unsat_probes=optimizer.unsat_probes,
                 decisions=sat_stats["decisions"],
                 conflicts=sat_stats["conflicts"],
                 loop_formulas=optimizer.finder.loop_formulas_added,
@@ -166,6 +168,7 @@ class Control:
             "translate_time": translate_span.duration,
             "solve_time": solve_span.duration,
             "models_seen": outcome.models_seen,
+            "unsat_probes": optimizer.unsat_probes,
             "loop_formulas": optimizer.finder.loop_formulas_added,
             "atoms": len(translator.atom_var),
             **{f"ground_{k}": v for k, v in self._ground_program.stats().items()},

@@ -3,15 +3,22 @@
 clingo semantics: higher ``@priority`` levels dominate; within a level
 the objective is the sum of weights of satisfied minimize elements.
 
-Strategy: model-guided bound strengthening.  For each priority from
-highest to lowest:
+Strategy: model-guided bound strengthening, incremental on one solver.
+For each priority from highest to lowest:
 
-1. take the cost of the incumbent model at this priority;
+1. divide the level's weights by their GCD, so every bound probed is a
+   cost some model can have (all-100 weights probe 0, 1, 2, ... builds);
 2. build (once, with cross-bound node sharing) a pseudo-Boolean
    "budget" circuit whose root literal *assumes* ``Σ wᵢxᵢ ≤ k``;
-3. repeatedly solve under the assumption ``cost ≤ incumbent - 1``; each
-   SAT answer lowers the incumbent, UNSAT proves optimality;
-4. permanently assert the optimal bound and recurse to the next level.
+3. bracketed descent between a proven floor and the incumbent's cost:
+   a SAT probe replaces the incumbent (a snapshot of the solver's
+   assignment), an UNSAT probe raises the floor;
+4. once floor meets incumbent the optimum is proven: assert the
+   budget root as a permanent unit clause, propagated once at decision
+   level 0, and descend to the next level.
+
+The incumbent snapshot is the answer: its costs are optimal at every
+finished level, so no re-solve is needed to recover a model.
 
 The PB circuit uses the standard BDD/DP decomposition memoized on
 ``(index, residual_budget)`` with budgets clamped to suffix sums, so
@@ -20,6 +27,7 @@ successive bounds share most of their structure.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .stable import StableModelFinder
@@ -32,19 +40,17 @@ __all__ = ["Optimizer", "OptimizeResult"]
 class OptimizeResult:
     """The outcome of an optimization run."""
 
-    __slots__ = ("model", "cost", "models_seen", "proven_optimal")
+    __slots__ = ("model", "cost", "models_seen")
 
     def __init__(
         self,
         model: Optional[Set[Atom]],
         cost: Dict[int, int],
         models_seen: int,
-        proven_optimal: bool,
     ):
         self.model = model
         self.cost = cost
         self.models_seen = models_seen
-        self.proven_optimal = proven_optimal
 
     @property
     def satisfiable(self) -> bool:
@@ -111,28 +117,26 @@ class Optimizer:
     def __init__(self, translator: Translator):
         self.translator = translator
         self.finder = StableModelFinder(translator)
+        #: bound probes proven UNSAT (each one raises a level's floor)
+        self.unsat_probes = 0
 
-    def optimize(
-        self,
-        on_model=None,
-        base_assumptions: Sequence[int] = (),
-    ) -> OptimizeResult:
-        models_seen = 0
-        model = self.finder.solve(list(base_assumptions))
-        if model is None:
-            return OptimizeResult(None, {}, 0, True)
-        models_seen += 1
+    def optimize(self, on_model=None) -> OptimizeResult:
+        solver = self.translator.solver
+        objectives = self.translator.objectives
+        best_model = self.finder.solve()
+        if best_model is None:
+            return OptimizeResult(None, {}, 0)
+        best = solver.model()
+        models_seen = 1
         if on_model is not None:
-            on_model(model)
+            on_model(best_model)
 
-        assumptions: List[int] = list(base_assumptions)
-        best_model = model
-        priorities = sorted(self.translator.objectives, reverse=True)
+        priorities = sorted(objectives, reverse=True)
         for priority in priorities:
-            terms = self.translator.objectives[priority]
+            terms = _scaled(objectives[priority])
             budget = _PBBudget(self.translator, terms)
-            best_cost = self._cost(best_model, terms)
-            # Bracketed descent: probe the midpoint of [floor, best).
+            best_cost = _cost(best, terms)
+            # Bracketed descent: probe the midpoint of [floor, best_cost).
             # A SAT probe may overshoot downward (the model's true cost
             # bounds it); an UNSAT probe raises the floor.  Converges in
             # O(log range) solves instead of one solve per cost step —
@@ -141,36 +145,34 @@ class Optimizer:
             floor = 0
             while best_cost > floor:
                 probe = (floor + best_cost - 1) // 2
-                root = budget.root(probe)
-                if root is None:
-                    break  # bound is trivially met; cannot go below 0 sum
-                candidate = self.finder.solve(assumptions + [root])
+                candidate = self.finder.solve([budget.root(probe)])
                 if candidate is None:
+                    self.unsat_probes += 1
                     floor = probe + 1
                     continue
                 models_seen += 1
-                new_cost = self._cost(candidate, terms)
-                assert new_cost < best_cost, "PB bound failed to strengthen"
-                best_model = candidate
-                best_cost = new_cost
+                best_model, best = candidate, solver.model()
+                best_cost = _cost(best, terms)
+                assert best_cost <= probe, "PB bound failed to strengthen"
                 if on_model is not None:
                     on_model(candidate)
-            # Freeze this level at its optimum before descending.
+            # Freeze this level at its optimum for every later solve.
             root = budget.root(best_cost)
             if root is not None:
-                assumptions.append(root)
-            # Re-anchor the incumbent (solver state may have moved on).
-            best_model = self.finder.solve(assumptions)
-            assert best_model is not None, "optimum must remain satisfiable"
+                frozen = solver.add_clause([root])
+                assert frozen, "optimum must remain satisfiable"
 
-        cost = {
-            priority: self._cost(best_model, self.translator.objectives[priority])
-            for priority in priorities
-        }
-        return OptimizeResult(best_model, cost, models_seen, True)
+        cost = {p: _cost(best, objectives[p]) for p in priorities}
+        return OptimizeResult(best_model, cost, models_seen)
 
-    def _cost(self, model: Set[Atom], terms) -> int:
-        # Indicator variables are Tseitin bodies — recompute from the
-        # last solver model rather than the atom set.
-        solver_model = self.translator.solver.model()
-        return sum(w for w, var in terms if solver_model[var] == 1)
+
+def _scaled(terms: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """The level's terms with weights divided by their GCD."""
+    divisor = math.gcd(*(w for w, _ in terms)) or 1
+    return [(w // divisor, var) for w, var in terms]
+
+
+def _cost(assignment: List[int], terms: Sequence[Tuple[int, int]]) -> int:
+    # Indicator variables are Tseitin bodies — read them from the
+    # solver assignment snapshot rather than from the atom set.
+    return sum(w for w, var in terms if assignment[var] == 1)

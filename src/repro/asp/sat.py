@@ -12,7 +12,7 @@ allocated through :meth:`Solver.new_var`.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 __all__ = ["Solver", "SolverError", "TRUE", "FALSE", "UNASSIGNED"]
 
@@ -144,6 +144,7 @@ class Solver:
         self.var_inc = 1.0
         self.var_decay = 0.95
         self.ok = True  # False once a top-level conflict is found
+        self.calls = 0  # solve() invocations
         self.conflicts = 0
         self.decisions = 0
         self.propagations = 0
@@ -404,6 +405,7 @@ class Solver:
         Under ``assumptions``, False means UNSAT *under those
         assumptions*; the solver remains usable afterwards.
         """
+        self.calls += 1
         if not self.ok:
             return False
         self._cancel_until(0)
@@ -483,16 +485,12 @@ class Solver:
         variable, entries TRUE/FALSE."""
         return list(self.assign)
 
-    def model_true_vars(self) -> Iterable[int]:
-        for v in range(1, self.num_vars + 1):
-            if self.assign[v] == TRUE:
-                yield v
-
     def stats(self) -> Dict[str, int]:
         return {
             "vars": self.num_vars,
             "clauses": len(self.clauses),
             "learned": len(self.learned),
+            "calls": self.calls,
             "conflicts": self.conflicts,
             "decisions": self.decisions,
             "propagations": self.propagations,

@@ -55,7 +55,9 @@ __all__ = [
 #: pool_reuse} client counters plus buildcache.http_server_{requests,
 #: 304s,range_requests} server counters added with HTTPBackend +
 #: `repro buildcache serve`)
-SCHEMA_VERSION = 9
+#: (10: optimizer iterations — `sat_calls` and `unsat_probes` attrs on
+#: the asp.solve span, mirrored in `SolveResult.stats`)
+SCHEMA_VERSION = 10
 
 
 def chrome_trace(tracer: Optional[Tracer] = None) -> Dict:

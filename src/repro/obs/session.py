@@ -238,15 +238,13 @@ def resolve_session(
         return sessions[-1]
     try:
         return sessions[int(key)]
-    except ValueError:
-        pass
-    except IndexError:
-        raise LookupError(
-            f"session index {key} out of range (have {len(sessions)})"
-        )
+    except (ValueError, IndexError):
+        pass  # not an index in range: an all-digit id prefix is valid
     matches = [s for s in sessions if str(s.get("id", "")).startswith(key)]
     if not matches:
-        raise LookupError(f"no session with id prefix {key!r}")
+        raise LookupError(
+            f"no session with index or id prefix {key!r} (have {len(sessions)})"
+        )
     if len(matches) > 1:
         ids = ", ".join(str(s["id"]) for s in matches[:5])
         raise LookupError(f"session id prefix {key!r} is ambiguous ({ids})")

@@ -1,6 +1,7 @@
 """Optimization: #minimize with weights and lexicographic priorities."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -171,3 +172,76 @@ class TestControlApi:
         ctl.add("q :- p(X).")
         result = ctl.solve()
         assert result.model.by_predicate("q")
+
+
+def _lex_program(rng, levels, scales):
+    """A random program: pick one or two of ``n`` atoms ``p(i)``, three
+    free atoms ``q(i)``, one constraint, and one weighted minimize
+    statement per level.  Returns ``(text, atoms, n, weights)`` where
+    ``weights[level][atom]`` is that atom's weight at the level."""
+    n = rng.randint(3, 5)
+    atoms = [f"p({i})" for i in range(n)] + [f"q({i})" for i in range(3)]
+    text = [f"1 {{ {' ; '.join(atoms[:n])} }} 2."]
+    text += [f"{{ {atom} }}." for atom in atoms[n:]]
+    text.append(f":- {atoms[n]}, {atoms[0]}.")
+    weights = {}
+    for level, scale in zip(levels, scales):
+        weights[level] = {
+            atom: scale * rng.randint(0, 4) for atom in atoms if rng.random() < 0.7
+        }
+        elements = " ; ".join(
+            f"{w}@{level}, {atom} : {atom}" for atom, w in weights[level].items()
+        )
+        if elements:
+            text.append(f"#minimize {{ {elements} }}.")
+    return "\n".join(text), atoms, n, weights
+
+
+def _brute_force(atoms, n, weights, levels):
+    """Lexicographic minimum over every assignment the program admits."""
+    best = None
+    for bits in itertools.product((False, True), repeat=len(atoms)):
+        true = {atom for atom, bit in zip(atoms, bits) if bit}
+        if not 1 <= sum(bits[:n]) <= 2 or {atoms[n], atoms[0]} <= true:
+            continue
+        cost = tuple(
+            sum(w for atom, w in weights[level].items() if atom in true)
+            for level in levels
+        )
+        best = cost if best is None or cost < best else best
+    return best
+
+
+class TestIncrementalLexicographic:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_brute_force_with_shared_weight_factors(self, seed):
+        rng = random.Random(7000 + seed)
+        levels = sorted(rng.sample(range(1, 60), rng.randint(2, 3)), reverse=True)
+        scales = [rng.choice((1, 3, 100)) for _ in levels]
+        text, atoms, n, weights = _lex_program(rng, levels, scales)
+        result = solve(text)
+        assert result.satisfiable
+        got = tuple(result.cost.get(level, 0) for level in levels)
+        assert got == _brute_force(atoms, n, weights, levels)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_returned_model_realizes_returned_cost(self, seed):
+        rng = random.Random(8000 + seed)
+        levels = [20, 10, 1]
+        text, atoms, n, weights = _lex_program(rng, levels, [100, 7, 1])
+        result = solve(text)
+        true = {str(atom) for atom in result.model}
+        for level in levels:
+            realized = sum(w for atom, w in weights[level].items() if atom in true)
+            assert result.cost.get(level, 0) == realized
+
+    @pytest.mark.parametrize("least", [1, 3, 5, 10])
+    def test_uniform_weight_level_probes_only_possible_costs(self, least):
+        # weight 100 on each of 10 choices: only 11 costs can occur, so
+        # the first solve plus a binary descent over 0..10 builds decide
+        # the level — without scaling, proving optimality walks 0..100k
+        picks = " ; ".join(f"b({i})" for i in range(10))
+        result = solve(f"{least} {{ {picks} }} 10.\n#minimize {{ 100, X : b(X) }}.")
+        assert result.cost[0] == 100 * least
+        assert result.stats["sat_calls"] <= math.ceil(math.log2(11)) + 1
+        assert result.stats["unsat_probes"] >= 1

@@ -62,6 +62,16 @@ class TestConcretizerSpans:
         assert by_name["asp.translate"]["args"]["atoms"] > 0
         assert by_name["asp.solve"]["args"]["decisions"] >= 0
 
+    def test_solve_span_and_stats_count_optimizer_iterations(self):
+        trace.enable()
+        repo = make_mock_repo()
+        stats = Concretizer(repo).solve(["example ^mpich"]).stats
+        args = {e["name"]: e for e in trace.events()}["asp.solve"]["args"]
+        assert args["sat_calls"] == stats["sat_calls"] >= 1
+        assert args["unsat_probes"] == stats["unsat_probes"]
+        # every probe is one SAT call; the first solve is not a probe
+        assert stats["sat_calls"] >= stats["unsat_probes"] + stats["models_seen"]
+
     def test_unsat_still_records_solve_span(self):
         from repro.concretize import UnsatisfiableError
 

@@ -132,7 +132,11 @@ class TestAppendAndRead:
 
 class TestResolve:
     def _sessions(self, n=4):
-        return [make_record(wall_s=float(i)) for i in range(n)]
+        # fixed ids: a random one can start with "99" and match below
+        records = [make_record(wall_s=float(i)) for i in range(n)]
+        for i, record in enumerate(records):
+            record["id"] = f"{'abcdef'[i]}{i:011x}"
+        return records
 
     def test_last_and_index(self):
         sessions = self._sessions()
@@ -144,6 +148,13 @@ class TestResolve:
         sessions = self._sessions()
         target = sessions[2]
         assert resolve_session(sessions, target["id"][:8]) is target
+
+    def test_all_digit_id_prefix_is_not_an_index(self):
+        sessions = self._sessions()
+        target = sessions[1]
+        target["id"] = "90000723ab4f"
+        assert resolve_session(sessions, "90000723") is target
+        assert resolve_session(sessions, "1") is target, "in range: an index"
 
     def test_errors_are_lookup_errors(self):
         sessions = self._sessions()
