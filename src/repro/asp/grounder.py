@@ -144,6 +144,79 @@ class AtomIndex:
         return best
 
 
+class _SeedTable:
+    """Delta-driven firing entries keyed by (signature, ground positions,
+    their values).
+
+    The body literal ``hash_attr(H, "version", "mpich", V)`` is filed
+    under ``(("hash_attr", 4), (1, 2), ("version", "mpich"))``.  A delta
+    atom looks up one bucket per position set in use for its signature,
+    so it meets only the literals whose constants it already equals —
+    not every literal of the same predicate and arity.  Bucket hits are
+    a superset of the entries :func:`match_atom` accepts (non-ground
+    arguments are still matched by the caller), and :meth:`lookup`
+    returns them in insertion order, so firing order — and with it the
+    ground program — is exactly what a signature-only map would give.
+    """
+
+    def __init__(self):
+        self._shapes: Dict[Signature, List[Tuple[int, ...]]] = {}
+        self._buckets: Dict[tuple, List[tuple]] = {}
+        self._size = 0
+
+    def add(self, pattern: Atom, rule: Rule, seed) -> None:
+        args = pattern.args
+        positions = tuple(i for i, arg in enumerate(args) if arg.is_ground)
+        sig = pattern.signature
+        shapes = self._shapes.setdefault(sig, [])
+        if positions not in shapes:
+            shapes.append(positions)
+        key = (sig, positions, tuple(args[i] for i in positions))
+        self._buckets.setdefault(key, []).append((self._size, rule, seed))
+        self._size += 1
+
+    def lookup(self, atom: Atom) -> List[tuple]:
+        """The ``(order, rule, seed)`` entries whose literal's constants
+        ``atom`` equals, in insertion order."""
+        sig = atom.signature
+        shapes = self._shapes.get(sig)
+        if not shapes:
+            return []
+        args = atom.args
+        buckets = self._buckets
+        if len(shapes) == 1:
+            positions = shapes[0]
+            return buckets.get((sig, positions, tuple(args[i] for i in positions)), [])
+        hits: List[tuple] = []
+        for positions in shapes:
+            bucket = buckets.get((sig, positions, tuple(args[i] for i in positions)))
+            if bucket:
+                hits.extend(bucket)
+        hits.sort()  # by insertion number: unique, so rules never compare
+        return hits
+
+
+def _seed_table(rules: Iterable[Rule]) -> _SeedTable:
+    """Every positive body literal of ``rules`` as seed ``i`` (its body
+    index), and every positive choice-element condition literal as seed
+    ``(element, cond_index)``."""
+    table = _SeedTable()
+    for rule in rules:
+        for i, e in enumerate(rule.body):
+            if isinstance(e, Literal) and e.positive:
+                table.add(e.atom, rule, i)
+        if isinstance(rule.head, ChoiceHead):
+            for element in rule.head.elements:
+                for ci, c in enumerate(element.condition):
+                    if isinstance(c, Literal) and c.positive:
+                        table.add(c.atom, rule, (element, ci))
+    return table
+
+
+def _has_positive(body: Sequence[BodyElement]) -> bool:
+    return any(isinstance(e, Literal) and e.positive for e in body)
+
+
 def _bound_vars(term_or_atom, binding: dict) -> bool:
     return all(v in binding for v in term_or_atom.variables())
 
@@ -250,9 +323,9 @@ class Grounder:
         self.certain: Set[Atom] = set()
         self._certain_sig_count: Dict[Signature, int] = defaultdict(int)
         self._prepared = False
-        #: phase-1 seed map, kept as an attribute so :meth:`add_facts`
+        #: phase-1 seed table, kept as an attribute so :meth:`add_facts`
         #: can resume the fixpoint after :meth:`prepare`
-        self._by_sig: Dict[Signature, List[Tuple[Rule, object]]] = defaultdict(list)
+        self._seeds = _SeedTable()
         self._negfree: Dict[int, bool] = {}
 
     def _mark_certain(self, atom: Atom) -> bool:
@@ -331,36 +404,18 @@ class Grounder:
                         delta.append(rule.head)
                 else:
                     self._derive(rule, {}, delta)
-        # Rules by positive-body signature for delta-driven firing.  The
-        # entry is (rule, seed): an int indexes a body literal; a
-        # (element, cond_index) tuple seeds a choice-element *condition*
-        # — its atoms may only become possible after the rule body first
-        # fired, and incremental seeding keeps this linear (a full
-        # re-join per delta atom is quadratic in e.g. the number of
-        # splice candidates, Figure 7's workload).
-        by_sig = self._by_sig
-        bodied_rules: List[Rule] = []
-        for rule in rules:
-            pos = [
-                e for e in rule.body if isinstance(e, Literal) and e.positive
-            ]
-            if not pos and rule.body:
-                # Body is only comparisons/negation: fire once.
-                bodied_rules.append(rule)
-            for i, e in enumerate(rule.body):
-                if isinstance(e, Literal) and e.positive:
-                    by_sig[e.atom.signature].append((rule, i))
-            if isinstance(rule.head, ChoiceHead):
-                for element in rule.head.elements:
-                    for ci, c in enumerate(element.condition):
-                        if isinstance(c, Literal) and c.positive:
-                            by_sig[c.atom.signature].append(
-                                (rule, (element, ci))
-                            )
+        # Seed table for delta-driven firing.  A choice-element
+        # *condition* literal is a seed too — its atoms may only become
+        # possible after the rule body first fired, and incremental
+        # seeding keeps this linear (a full re-join per delta atom is
+        # quadratic in e.g. the number of splice candidates, Figure 7's
+        # workload).
+        self._seeds = _seed_table(rules)
         # Fire comparison-only-body rules once (their negations ignored).
-        for rule in bodied_rules:
-            for binding in self.joiner.join(rule.body, {}):
-                self._derive(rule, binding, delta)
+        for rule in rules:
+            if rule.body and not _has_positive(rule.body):
+                for binding in self.joiner.join(rule.body, {}):
+                    self._derive(rule, binding, delta)
         self._close(delta)
 
     def add_facts(self, atoms: Iterable[Atom]) -> int:
@@ -381,10 +436,10 @@ class Grounder:
 
     def _close(self, delta: List[Atom]) -> None:
         """Delta-driven closure of the possible-atom fixpoint."""
-        by_sig = self._by_sig
+        seeds = self._seeds
         while delta:
             atom = delta.pop()
-            for rule, lit_index in by_sig.get(atom.signature, ()):  # noqa: B020
+            for _, rule, lit_index in seeds.lookup(atom):
                 if isinstance(lit_index, tuple):
                     # condition-driven seeding: bind the condition
                     # literal to the delta atom, then join the body plus
@@ -462,16 +517,7 @@ class Grounder:
             if any(isinstance(e, Literal) and not e.positive for e in r.body)
         ]
         delta: List[Atom] = []
-        by_sig: Dict[Signature, List[Tuple[Rule, int]]] = defaultdict(list)
-        nobody_rules: List[Rule] = []
-        for rule in rules:
-            has_pos = False
-            for i, e in enumerate(rule.body):
-                if isinstance(e, Literal) and e.positive:
-                    by_sig[e.atom.signature].append((rule, i))
-                    has_pos = True
-            if not has_pos and rule in negation_rules:
-                nobody_rules.append(rule)
+        seeds = _seed_table(rules)
 
         def fire(rule: Rule, binding: dict) -> None:
             for e in rule.body:
@@ -491,18 +537,19 @@ class Grounder:
             if self._mark_certain(head):
                 delta.append(head)
 
+        nobody_rules = [r for r in negation_rules if not _has_positive(r.body)]
         for rule in nobody_rules:
             for binding in self.joiner.join(rule.body, {}):
                 fire(rule, binding)
         # initial sweep: negation rules with positive bodies, joined over
         # the possible index and filtered on certainty in fire()
         for rule in negation_rules:
-            if rule not in nobody_rules:
+            if _has_positive(rule.body):
                 for binding in self.joiner.join(rule.body, {}):
                     fire(rule, binding)
         while delta:
             atom = delta.pop()
-            for rule, lit_index in by_sig.get(atom.signature, ()):  # noqa: B020
+            for _, rule, lit_index in seeds.lookup(atom):
                 seed = rule.body[lit_index]
                 assert isinstance(seed, Literal)
                 binding = match_atom(seed.atom, atom, {})

@@ -8,6 +8,16 @@ solving under assumptions, and incremental clause addition between
 Literals are non-zero ints (DIMACS convention): ``v`` is the positive
 literal of variable ``v``, ``-v`` the negative one.  Variables are
 allocated through :meth:`Solver.new_var`.
+
+A stored clause of ``n`` literals is a list of ``n + 1`` ints: the two
+watched literals, the other ``n - 2``, then one trailing slot holding
+the position where the clause's last replacement watch was found.  The
+next replacement search starts there and wraps around (Gent, "Optimal
+Implementation of Watched Literals and More General Techniques", JAIR
+2013), so repeated searches of one long learned clause along a descent
+read each literal about once instead of rescanning from position 2.
+The slot is only a hint: every start gives a complete search, and an
+out-of-range value falls back to position 2.
 """
 
 from __future__ import annotations
@@ -214,6 +224,7 @@ class Solver:
                 self.ok = False
                 return False
             return True
+        clause.append(2)  # replacement-search start
         self.clauses.append(clause)
         self._attach(clause)
         return True
@@ -290,19 +301,28 @@ class Solver:
                     watch_list[j] = clause
                     j += 1
                     continue
-                # Look for a new literal to watch.
-                found = False
-                for k in range(2, len(clause)):
+                # Look for a new literal to watch, starting where this
+                # clause's last replacement was found and wrapping around.
+                size = len(clause) - 1
+                start = clause[size]
+                if not 2 <= start < size:
+                    start = 2  # only a hint: any start searches them all
+                for k in range(start, size):
                     other = clause[k]
                     if (assign[other] if other > 0 else -assign[-other]) != FALSE:
-                        clause[1] = other
-                        clause[k] = false_lit
-                        watches[2 * other if other > 0 else -2 * other + 1].append(
-                            clause
-                        )
-                        found = True
                         break
-                if found:
+                else:
+                    for k in range(2, start):
+                        other = clause[k]
+                        if (assign[other] if other > 0 else -assign[-other]) != FALSE:
+                            break
+                    else:
+                        k = 0
+                if k:
+                    clause[1] = other
+                    clause[k] = false_lit
+                    clause[size] = k
+                    watches[2 * other if other > 0 else -2 * other + 1].append(clause)
                     continue
                 # Clause is unit or conflicting.
                 watch_list[j] = clause
@@ -348,7 +368,7 @@ class Solver:
         current_level = len(self.trail_lim)
         while True:
             assert reason is not None
-            for q in reason:
+            for q in reason[:-1]:  # the last slot is the search start
                 if lit is not None and q == lit:
                     continue
                 var = abs(q)
@@ -441,6 +461,7 @@ class Solver:
                         self.ok = False
                         return False
                 else:
+                    learned.append(2)  # replacement-search start
                     self.learned.append(learned)
                     self._attach(learned)
                     self._enqueue(learned[0], learned)

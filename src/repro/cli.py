@@ -52,7 +52,7 @@ from typing import List, Optional
 
 from .binary.discovery import discover_provider_splices
 from .buildcache import BuildCache, BuildCacheError, LocalFSBackend, MirrorGroup
-from .concretize import Concretizer, UnsatisfiableError
+from .concretize import Concretizer, EncodingError, UnsatisfiableError
 from .installer import InstallError, Installer
 from .obs import (
     configure_logging,
@@ -80,7 +80,7 @@ from .obs.session import (
 from .package.repository import Repository
 from .repos.mock import make_mock_repo
 from .repos.radiuss import make_radiuss_repo
-from .spec import tree
+from .spec import SpecParseError, tree
 from .spec.diff import diff_specs
 
 __all__ = ["main"]
@@ -90,6 +90,11 @@ class CLIError(Exception):
     """A user-input problem: reported as one line on stderr, exit 2 —
     never a traceback (tracebacks are for bugs, not for a typo'd
     mirror path)."""
+
+
+#: errors that mean the user's input is wrong (a malformed spec, an
+#: unknown package), reported like :class:`CLIError`, not as crashes
+USER_ERRORS = (CLIError, SpecParseError, EncodingError)
 
 
 def _load_repo(name: str) -> Repository:
@@ -931,7 +936,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if exit_code:
             outcome = "error"
         return exit_code
-    except CLIError as e:
+    except USER_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         exit_code, outcome, error_label = 2, "usage-error", type(e).__name__
         return 2

@@ -19,6 +19,8 @@ def format_node(spec: "Spec", show_arch: bool = True) -> str:
     """Render a single node without its dependencies."""
     parts = []
     parts.append(spec.name if spec.name is not None else "")
+    if spec.abstract_hash is not None:
+        parts.append(f"/{spec.abstract_hash}")
     concrete_version = spec.versions.concrete
     if concrete_version is not None:
         parts.append(f"@{concrete_version}")
@@ -31,12 +33,15 @@ def format_node(spec: "Spec", show_arch: bool = True) -> str:
         else:
             parts.append(" " + variant_text)
     if show_arch and (spec.os or spec.target):
-        if spec.os and spec.target:
+        if spec.os and spec.target and "-" not in spec.os + spec.target:
             parts.append(f" arch={spec.os}-{spec.target}")
-        elif spec.os:
-            parts.append(f" os={spec.os}")
-        else:
-            parts.append(f" target={spec.target}")
+        else:  # arch= splits on '-', so keep dashed names apart
+            if spec.os:
+                parts.append(f" os={spec.os}")
+            if spec.target:
+                parts.append(f" target={spec.target}")
+    if spec.namespace != "builtin":
+        parts.append(f" namespace={spec.namespace}")
     if spec.external:
         parts.append(" [external]")
     return "".join(parts).strip()

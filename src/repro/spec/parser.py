@@ -22,6 +22,7 @@ import re
 from typing import List, Optional, Tuple
 
 from .spec import Spec, SpecError, DEPTYPE_BUILD, DEPTYPE_LINK_RUN
+from .variant import VariantError
 from .version import VersionList, VersionError
 
 __all__ = ["SpecParser", "SpecParseError", "parse", "parse_one"]
@@ -96,12 +97,12 @@ class SpecParser:
             kind, _ = token
             if kind == "dep":
                 self._next()
-                dep = self._parse_node(allow_anonymous=False)
+                dep = self._parse_dependency(spec)
                 self._attach_subdeps(dep)
                 spec.add_dependency(dep, (DEPTYPE_LINK_RUN,))
             elif kind == "builddep":
                 self._next()
-                dep = self._parse_node(allow_anonymous=False)
+                dep = self._parse_dependency(spec)
                 spec.add_dependency(dep, (DEPTYPE_BUILD,))
             elif kind == "name":
                 break  # start of the next independent spec
@@ -110,6 +111,12 @@ class SpecParser:
                     f"unexpected token {token[1]!r} in {self.text!r}"
                 )
         return spec
+
+    def _parse_dependency(self, root: Spec) -> Spec:
+        dep = self._parse_node(allow_anonymous=False)
+        if dep.name == root.name:
+            raise SpecParseError(f"{dep.name!r} cannot depend on itself in {self.text!r}")
+        return dep
 
     def _attach_subdeps(self, parent: Spec) -> None:
         """Dependencies written after a ^dep chain onto the root, matching
@@ -134,6 +141,10 @@ class SpecParser:
             if kind == "version":
                 self._next()
                 vtext = text[1:].replace(" ", "")
+                if not vtext:
+                    # VersionList.from_string("") means "any version":
+                    # a bare '@' would silently drop the constraint
+                    raise SpecParseError(f"empty version after '@' in {self.text!r}")
                 try:
                     spec.versions = spec.versions.intersection(
                         VersionList.from_string(vtext)
@@ -144,8 +155,7 @@ class SpecParser:
                     raise SpecParseError(f"contradictory versions in {self.text!r}")
             elif kind == "bool_variant":
                 self._next()
-                name = text[1:].strip()
-                spec.variants.set(name, text[0] == "+")
+                self._set_variant(spec, text[1:].strip(), text[0] == "+")
             elif kind == "hash":
                 self._next()
                 spec.abstract_hash = text[1:]
@@ -156,12 +166,18 @@ class SpecParser:
                 if key in RESERVED_KEYS:
                     self._set_reserved(spec, key, value)
                 else:
-                    spec.variants.set(key, value)
+                    self._set_variant(spec, key, value)
             else:
                 break
         if spec.name is None and self._spec_is_empty(spec):
             raise SpecParseError(f"empty spec in {self.text!r}")
         return spec
+
+    def _set_variant(self, spec: Spec, name: str, value) -> None:
+        try:
+            spec.variants.set(name, value)
+        except VariantError as e:
+            raise SpecParseError(f"{e} in {self.text!r}") from e
 
     @staticmethod
     def _spec_is_empty(spec: Spec) -> bool:

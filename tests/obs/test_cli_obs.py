@@ -309,3 +309,37 @@ class TestLogCorrelation:
             assert "[-]" in stream.getvalue()
         finally:
             logger.handlers = saved
+
+
+class TestUserInputErrors:
+    """A malformed spec or an unknown package is the user's mistake: one
+    ``error:`` line, exit 2, outcome usage-error, no crash report."""
+
+    @pytest.mark.parametrize(
+        "spec, error",
+        [
+            ("nosuchpkg", "EncodingError"),
+            ("zlib ^nosuchdep", "EncodingError"),
+            ("zlib foo=", "SpecParseError"),
+            ("zlib@@", "SpecParseError"),
+            ("zlib@", "SpecParseError"),
+        ],
+    )
+    def test_one_line_exit_2_no_crash_report(self, telemetry, capsys, spec, error):
+        assert main(["--repo", "mock", "spec", spec]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "internal error" not in err
+        assert list(telemetry.glob("crash-*.json")) == []
+        [session] = read_sessions(telemetry)
+        assert session["outcome"] == "usage-error"
+        assert session["error"] == error
+        assert session["exit_code"] == 2
+
+    def test_install_reports_unknown_package_as_user_error(
+        self, telemetry, capsys, tmp_path
+    ):
+        assert main(["--repo", "mock", "install", "nosuchpkg",
+                     "--store", str(tmp_path / "store")]) == 2
+        assert capsys.readouterr().err == "error: unknown package 'nosuchpkg'\n"
+        assert list(telemetry.glob("crash-*.json")) == []

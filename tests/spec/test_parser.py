@@ -120,11 +120,23 @@ class TestParserErrors:
             "a ^",  # trailing dependency sigil
             "a @1:3@4:5",  # contradictory versions
             "@@@",
+            "zlib@",  # empty version clause
+            "zlib@@",
+            "zlib @ +shared",
+            "hdf5 ^zlib@",
+            "zlib@1.2@",
+            "a ^a",  # self-dependency
+            "a %a",
+            "a+0",  # invalid variant name
         ],
     )
     def test_rejects(self, bad):
         with pytest.raises(SpecParseError):
             parse_one(bad)
+
+    @pytest.mark.parametrize("text", ["zlib@:", "zlib@ :", "zlib@=1.2"])
+    def test_explicit_version_clauses_still_parse(self, text):
+        assert parse_one(text).name == "zlib"
 
     def test_two_specs_is_not_one(self):
         with pytest.raises(SpecParseError):
@@ -139,9 +151,20 @@ class TestRoundTrip:
             "hdf5 pmi=pmix",
             "a@1.2:1.6 ^b@2",
             "x@=1.5",
+            "zlib/abc12",
+            "/abc12",
+            "zlib namespace=local",
         ],
     )
     def test_parse_format_parse(self, text):
         first = parse_one(text)
         again = parse_one(first.format())
         assert first.format() == again.format()
+
+    @pytest.mark.parametrize(
+        "text", ["x os=centos8 target=skylake", "x os=a-b target=c", "x target=zen-2"]
+    )
+    def test_architecture_round_trips(self, text):
+        first = parse_one(text)
+        again = parse_one(first.format(show_arch=True))
+        assert (again.os, again.target) == (first.os, first.target)

@@ -2,7 +2,8 @@
 
 from hypothesis import given, strategies as st
 
-from repro.spec import parse_one
+from repro.spec import parse, parse_one
+from repro.spec.parser import SpecParseError
 
 names = st.from_regex(r"[a-z][a-z0-9]{0,6}(-[a-z0-9]{1,4})?", fullmatch=True)
 versions = st.lists(
@@ -28,8 +29,9 @@ def spec_texts(draw):
         kv = draw(variant_names)
         if kv not in seen_variants:
             parts.append(f" {kv}={draw(names)}")
-    dep_names = draw(
-        st.lists(names, max_size=2, unique=True)
+    root = parts[0]
+    dep_names = draw(  # a spec depending on itself is a parse error
+        st.lists(names.filter(lambda n: n != root), max_size=2, unique=True)
     )
     for dep in dep_names:
         parts.append(f" ^{dep}")
@@ -82,3 +84,28 @@ def test_constrain_produces_satisfying_spec(a, b):
     # after constraining, sa meets sb's node-local constraints
     assert sa.versions.satisfies(sb.versions)
     assert sa.variants.satisfies(sb.variants)
+
+
+#: spec text built from the parser's own alphabet, valid or not
+spec_soup = st.lists(
+    st.sampled_from(
+        list("abz019@:=,.+~^%/- ")
+        + ["zlib", "hdf5", "mpi", "x86_64", "os=", "target=", "arch=", "namespace="]
+    ),
+    max_size=16,
+).map("".join)
+
+
+@given(st.one_of(spec_texts(), spec_soup))
+def test_parse_raises_or_round_trips(text):
+    """Any text either is rejected with SpecParseError or parses to
+    specs whose full rendering (architecture included) parses back to
+    the same specs."""
+    try:
+        specs = parse(text)
+    except SpecParseError:
+        return
+    formatted = [spec.format(show_arch=True) for spec in specs]
+    again = [parse_one(t) for t in formatted]
+    assert again == specs
+    assert [spec.format(show_arch=True) for spec in again] == formatted
